@@ -359,6 +359,11 @@ class TraceLog:
         counters — a profile that cannot reconcile (partial
         instrumentation) is left out rather than breaking the
         invariant.  Returns the number of records grafted.
+
+        The profile's timestamps are run-relative (its root starts at
+        0); they are shifted so the root ends where ``parent`` ends and
+        clamped into ``parent``'s interval, so the grafted spans nest
+        inside the stage on the log's own clock.
         """
         if not profile:
             return 0
@@ -366,6 +371,11 @@ class TraceLog:
         parent_totals = (parent.words, parent.messages, parent.flops)
         if leaf_totals != parent_totals:
             return 0
+
+        offset = parent.t_end - float(profile.get("t_end", 0.0))
+
+        def place(t: Any) -> float:
+            return min(max(float(t) + offset, parent.t_start), parent.t_end)
 
         grafted = 0
 
@@ -382,8 +392,8 @@ class TraceLog:
                     parent_span_id=parent_id,
                     name=str(node["name"]),
                     process=self.process,
-                    t_start=float(node.get("t_start", 0.0)),
-                    t_end=float(node.get("t_end", 0.0)),
+                    t_start=place(node.get("t_start", 0.0)),
+                    t_end=place(node.get("t_end", 0.0)),
                     words=int(node.get("words", 0)),
                     messages=int(node.get("messages", 0)),
                     flops=int(node.get("flops", 0)),

@@ -16,10 +16,16 @@ disk tiers, keyed by shape and code version) → **replay**
 (:meth:`~repro.machine.core.HierarchicalMachine.replay_schedule`).
 
 Compilation is conservative: it engages only for a *pristine* batched
-machine with no trace, no span recorder, no budget guard and zero
-counters — any observer that sees per-event state falls back to the
-ordinary interpreted run, whose counts are pinned against the
-element-wise reference by the golden suite.  ``REPRO_NO_COMPILE=1``
+machine with no trace, no span recorder and zero counters — any
+observer that sees per-event state falls back to the ordinary
+interpreted run, whose counts are pinned against the element-wise
+reference by the golden suite.  A budget guard is not such an
+observer: counters only grow, so whether a run trips a cap is decided
+before it starts from the cached schedule's totals
+(:meth:`~repro.serving.budget.BudgetGuard.admits`).  A run that fits
+replays and is polled once afterwards; one that does not runs
+interpreted, so it trips at the same chokepoint with the same partial
+counts as an uncompiled run.  ``REPRO_NO_COMPILE=1``
 (or :func:`set_compile`) switches the whole layer off;
 ``REPRO_SLOW_PATH=1`` implies off, since capture requires the batched
 fast path.
@@ -112,7 +118,8 @@ def last_run_mode() -> str:
 
     ``"replay"`` — counters folded from a compiled schedule;
     ``"capture"`` — interpreted run that produced a new schedule;
-    ``"off"`` — compilation disabled or the run was ineligible.
+    ``"off"`` — compilation disabled, the run was ineligible, or its
+    budget guard did not admit the cached schedule.
     """
     return _run_mode.mode
 
@@ -121,16 +128,17 @@ def _machine_eligible(machine) -> bool:
     """Can this machine's next run be captured or replayed?
 
     Requires the batched fast path plus a machine no observer is
-    watching and no previous run has touched: traces, span profilers,
-    budget guards and half-finished runs all see per-event state that
-    a bulk replay cannot reproduce, so any of them disables the layer
-    for this run (never breaking their semantics, only the speedup).
+    watching and no previous run has touched: traces, span profilers
+    and half-finished runs all see per-event state that a bulk replay
+    cannot reproduce, so any of them disables the layer for this run
+    (never breaking their semantics, only the speedup).  A budget
+    guard does not: :meth:`_CompiledSession.run` settles it against
+    the schedule's totals before replaying.
     """
     return (
         machine.batched
         and machine.trace is None
         and machine.profiler is NULL_PROFILER
-        and machine.guard is None
         # an armed ChecksumGuardian must observe every boundary live:
         # a bulk replay recomputes the factor without running the
         # algorithm, so it could mask an injected silent fault
@@ -170,10 +178,16 @@ class _CompiledSession:
 
         A cached schedule that refuses to apply (:class:`ScheduleError`
         — shape drift, corruption) falls through to a fresh capture;
-        the machine is guaranteed untouched by a failed apply.
+        the machine is guaranteed untouched by a failed apply.  A
+        budget guard that does not admit the cached schedule gets the
+        plain interpreted run: no recorder, no recapture.
         """
         schedule = self.cache.get(self.key)
         if schedule is not None:
+            guard = self.matrix.machine.guard
+            if guard is not None and not guard.admits(schedule):
+                note_run_mode("off")
+                return fn()
             try:
                 return self._replay(schedule)
             except ScheduleError:
@@ -206,6 +220,9 @@ class _CompiledSession:
         A = self.matrix
         result = self._canonical_factor(A.data)
         A.machine.replay_schedule(schedule)
+        if A.machine.guard is not None:
+            # the caps were settled by admits(); this reads the deadline
+            A.machine.guard.check_machine(A.machine)
         METRICS.counter(
             "repro_schedule_events_total", event="replay"
         ).inc()

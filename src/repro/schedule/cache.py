@@ -32,7 +32,7 @@ from collections import OrderedDict
 
 from repro.observability.metrics import METRICS
 from repro.schedule.compiled import ScheduleError, TransferSchedule
-from repro.util.serialization import atomic_write_json
+from repro.util.serialization import atomic_write_text
 
 SCHEDULE_DIR_ENV = "REPRO_SCHEDULE_DIR"
 
@@ -218,14 +218,14 @@ class ScheduleCache:
         path = self._path_for(key)
         if path is None or schedule.nruns > self.max_disk_runs:
             return
-        entry = {
-            "key": key,
-            "version": self.version,
-            "schedule": schedule.to_dict(),
-            "digest": schedule.digest(),
-        }
+        # The schedule is encoded once and spliced into the entry: its
+        # arrays dominate the entry, and encoding them a second time
+        # for the digest doubled the cost of every capture.
+        blob = schedule.canonical_json()
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        head = json.dumps({"key": key, "version": self.version, "digest": digest})
         try:
-            atomic_write_json(path, entry)
+            atomic_write_text(path, f'{head[:-1]}, "schedule": {blob}}}')
         except OSError as exc:  # cache dir unwritable: degrade, don't fail
             logger.warning("cannot persist schedule %s: %s", path, exc)
 

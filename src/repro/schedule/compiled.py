@@ -225,8 +225,9 @@ class TransferSchedule:
 
         * the machine's shape (capacities, enforcement) matches;
         * the machine is pristine (zero counters, nothing resident, no
-          trace/recorder/guard — those observe per-event state a bulk
-          replay cannot reproduce);
+          trace/recorder — those observe per-event state a bulk replay
+          cannot reproduce; a budget guard is settled by the caller
+          against :attr:`totals` before replaying);
         * the fault configuration matches (plan digest, fresh injector);
         * the arrays reproduce the captured totals (:meth:`verify`).
 
@@ -248,8 +249,6 @@ class TransferSchedule:
             raise ScheduleError("cannot replay onto a tracing machine")
         if getattr(machine, "recorder", None) is not None:
             raise ScheduleError("cannot replay onto a recording machine")
-        if machine.guard is not None:
-            raise ScheduleError("cannot replay onto a budget-guarded machine")
         if machine._scope_depth != 0 or not machine.resident.is_empty():
             raise ScheduleError("machine is mid-run (scope open or data resident)")
         if (
@@ -340,12 +339,13 @@ class TransferSchedule:
             fault_retry_messages=doc.get("fault_retry_messages", 0),
         )
 
+    def canonical_json(self) -> str:
+        """The canonical JSON text of :meth:`to_dict` (what is digested)."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form (corruption detection)."""
-        blob = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
         return (

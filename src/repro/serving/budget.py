@@ -8,7 +8,9 @@ from their charging chokepoints (``HierarchicalMachine`` polls its
 counters, the ``Network`` reports each transfer), and the guard raises
 :class:`BudgetExceeded` the moment any cap is crossed.  The exception
 carries a machine-readable ``reason`` so the serving layer can decide
-how to degrade.
+how to degrade.  A run replayed from a compiled schedule reaches no
+chokepoint: it is admitted up front against the schedule's totals
+(:meth:`BudgetGuard.admits`) and polled once after the replay.
 
 The guard is deliberately dumb and cheap: integer comparisons plus one
 clock read per check.  A machine or network with no guard attached
@@ -174,6 +176,32 @@ class BudgetGuard:
             self.flops += machine.flops
 
     # -- verdicts --------------------------------------------------------
+
+    def admits(self, schedule) -> bool:
+        """Would a run with this compiled schedule finish within budget?
+
+        ``schedule`` is a :class:`~repro.schedule.TransferSchedule`.
+        Machine counters only grow, so a run trips no cap at any
+        chokepoint exactly when the earlier attempts' spend plus the
+        schedule's fastest-level totals and flops fit every cap.  A
+        guard that has already tripped, or whose deadline has passed,
+        admits nothing: the interpreted run reports those verdicts
+        itself.
+        """
+        if self.exceeded is not None:
+            return False
+        if self._deadline_at is not None and self._clock() >= self._deadline_at:
+            return False
+        wr, mr, ww, mw = schedule.totals[0]
+        b = self.budget
+        return not (
+            (b.max_words is not None and self.words + wr + ww > b.max_words)
+            or (
+                b.max_messages is not None
+                and self.messages + mr + mw > b.max_messages
+            )
+            or (b.max_flops is not None and self.flops + schedule.flops > b.max_flops)
+        )
 
     def check_deadline(self) -> None:
         """Raise if the wall-clock deadline has passed (cost caps not read)."""

@@ -80,6 +80,7 @@ import os
 import tempfile
 import threading
 import time
+from collections import deque
 from typing import Any, Callable, Mapping
 
 from repro.experiments.spec import SpecPoint
@@ -126,6 +127,9 @@ PROCESS = "process"
 
 #: Breaker states considered "hard open" (cooldown still running).
 _OPEN = "open"
+
+#: How many recent ``(job_id, shard)`` placements the front door keeps.
+_ASSIGNMENT_LOG_CAP = 4096
 
 
 class ClusterTicket:
@@ -760,7 +764,9 @@ class ServingCluster:
         self._lock = threading.Lock()
         self._inflight: "dict[str, _Tracked]" = {}
         self._outstanding: "dict[str, int]" = {name: 0 for name in names}
-        self._assignment_log: "list[tuple[str, str]]" = []
+        self._assignment_log: "deque[tuple[str, str]]" = deque(
+            maxlen=_ASSIGNMENT_LOG_CAP
+        )
         self._status_counts: "dict[str, int]" = {}
         self._rebalances = 0
         self._resubmitted = 0
@@ -872,7 +878,11 @@ class ServingCluster:
 
     @property
     def assignments(self) -> "tuple[tuple[str, str], ...]":
-        """``(job_id, shard)`` pairs in submission order (determinism)."""
+        """``(job_id, shard)`` pairs in submission order (determinism).
+
+        Only the most recent :data:`_ASSIGNMENT_LOG_CAP` placements are
+        kept, so a long-running front door's memory stays bounded.
+        """
         with self._lock:
             return tuple(self._assignment_log)
 

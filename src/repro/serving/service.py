@@ -716,7 +716,7 @@ class FactorizationService:
         if self.on_event is not None:
             self._emit_terminal(job, response)
         with self._lock:
-            ticket = self._tickets.get(job.job_id)
+            ticket = self._tickets.pop(job.job_id, None)
             self._status_counts[response.status] = (
                 self._status_counts.get(response.status, 0) + 1
             )

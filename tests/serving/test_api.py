@@ -1,5 +1,7 @@
-"""The typed request/response API: wire round-trips, versioning, shims."""
+"""The typed request/response API: wire round-trips, versioning, imports."""
 
+import importlib
+import sys
 import warnings
 
 import pytest
@@ -187,23 +189,25 @@ def test_cluster_ticket_resolution_is_idempotent():
     assert ticket.result(timeout=0) == first
 
 
-# -- deprecation shim ------------------------------------------------------
+# -- import hygiene ----------------------------------------------------------
 
 
-def test_jobs_module_shim_warns_and_aliases_the_api():
-    import repro.serving.jobs as jobs_shim
+def test_importing_the_api_is_warning_free():
+    """A first import of ``repro.serving.api`` emits no warning.
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert jobs_shim.Job is Job
-        assert jobs_shim.ServiceResponse is ServiceResponse
-        assert jobs_shim.job_from_dict is not None
-    assert caught
-    assert all(w.category is DeprecationWarning for w in caught)
-    assert "repro.serving.api" in str(caught[0].message)
-    assert "Job" in dir(jobs_shim)
-    with pytest.raises(AttributeError):
-        jobs_shim.not_a_thing
+    The original module object is restored into ``sys.modules``
+    afterwards, so identities held by already-imported code (e.g. the
+    ``Job`` class bound inside the client) stay intact for later tests.
+    """
+    original = sys.modules.pop("repro.serving.api", None)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            importlib.import_module("repro.serving.api")
+    finally:
+        if original is not None:
+            sys.modules["repro.serving.api"] = original
+    assert [str(w.message) for w in caught] == []
 
 
 # -- schema edges: legacy v1, untraced v2, journal embedding ---------------

@@ -309,6 +309,36 @@ class TestClusterDeterminism:
         }
 
 
+class TestObservedJobTiling:
+    def test_grafted_profile_lies_inside_execute(self):
+        from repro.serving.clock import MONOTONIC
+
+        cluster = ServingCluster(
+            shards=1, mode="inline", tracing=True, clock=MONOTONIC
+        )
+        try:
+            ticket = cluster.submit(Job(point=seq_point(observe=True)))
+            cluster.run_pending()
+            response = ticket.result(timeout=0)
+        finally:
+            cluster.stop()
+        assert response.status == DONE
+        validate_trace(response.trace, totals_of(response))
+        (execute,) = [r for r in response.trace if r.name == "execute"]
+        root, children = trace_tree(response.trace)
+        grafted = []
+        stack = list(children.get(execute.span_id, ()))
+        while stack:
+            record = stack.pop()
+            grafted.append(record)
+            stack.extend(children.get(record.span_id, ()))
+        assert grafted, "the observed run's profile was not grafted"
+        for record in grafted:
+            assert execute.t_start <= record.t_start <= record.t_end <= execute.t_end
+        assert root.duration > 0.0
+        assert trace_coverage(response.trace) >= 0.99
+
+
 @pytest.mark.slow
 class TestProcessModeTracing:
     def test_merged_trace_covers_observed_latency(self):
